@@ -2,9 +2,9 @@
 // store and the full TCP ingest loop. scripts/bench.sh runs these (with the
 // analysis-side benchmarks) and records the results as BENCH_<date>.json.
 //
-// TestApplyAllocFree is the zero-allocation policy guard from DESIGN.md:
-// the instrumented shard apply path must not allocate in steady state, so
-// metrics can never become the ingest bottleneck.
+// TestBatchApplyAllocFree is the zero-allocation policy guard from
+// DESIGN.md: the instrumented shard apply path must not allocate in steady
+// state, so metrics can never become the ingest bottleneck.
 package ingest
 
 import (
@@ -128,34 +128,40 @@ func TestFrameDecodeAllocFree(t *testing.T) {
 	}
 }
 
-// benchApplyShard returns a warmed shard and a cycling batch feeder: each
-// call hands the shard the next batchSize records of the trace at the
-// shard's current high-water sequence, so every record is accepted.
-func benchApplyShard(batchSize int) (*shard, func()) {
+// benchApply returns a feeder for the shard apply path. The trace is
+// pre-built, outside any timed region, into columnar batches of batchSize
+// records; each call hands apply (shard.feed or shard.applyBatch) the
+// next one at the shard's current high-water sequence, so every record is
+// accepted. apply returns the batch to batchPool as production does; the
+// feeder takes one back out, standing in for handleConn's next Get, so the
+// pool stays at its steady size.
+func benchApply(batchSize int, apply func(*shard, *recordBatch)) func() {
 	dt := benchTrace()
 	sh := newShard(0, 1, batchOpts(), newCounters(), newDeviceRegistry(), nil)
-	pos := 0
-	batch := &recordBatch{device: dt.Device}
-	feed := func() {
-		if pos+batchSize > len(dt.Records) {
-			pos = 0 // cycle; one time rewind per pass, state stays steady
+	var batches []*trace.RecordBatch
+	for pos := 0; pos+batchSize <= len(dt.Records); pos += batchSize {
+		cols := new(trace.RecordBatch)
+		for i := pos; i < pos+batchSize; i++ {
+			cols.Append(&dt.Records[i])
 		}
-		batch.firstSeq = sh.seqs[dt.Device]
-		batch.recs = dt.Records[pos : pos+batchSize]
-		batch.enqueuedNS = time.Now().UnixNano()
-		sh.feed(batch)
-		pos += batchSize
+		batches = append(batches, cols)
 	}
-	return sh, feed
+	next := 0
+	batch := &recordBatch{device: dt.Device}
+	return func() {
+		batch.firstSeq = sh.seqs[dt.Device]
+		batch.cols = batches[next]
+		batch.enqueuedNS = time.Now().UnixNano()
+		apply(sh, batch)
+		batchPool.Get()
+		next = (next + 1) % len(batches) // cycle; state stays steady
+	}
 }
 
-// BenchmarkApplyInstrumented is the shard apply path exactly as production
-// runs it: positional dedup, accumulator feed, per-device counters, and the
-// obs histograms (apply latency + batch size). The acceptance bar is 0
-// allocs/op and throughput within 3% of BenchmarkApplyBare.
-func BenchmarkApplyInstrumented(b *testing.B) {
+// benchApplyPair runs one side of the instrumentation budget pair.
+func benchApplyPair(b *testing.B, apply func(*shard, *recordBatch)) {
 	const batchSize = 128
-	_, feed := benchApplyShard(batchSize)
+	feed := benchApply(batchSize, apply)
 	feed() // warm: accumulator, registry entry, ledger day keys
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -165,107 +171,29 @@ func BenchmarkApplyInstrumented(b *testing.B) {
 	b.ReportMetric(float64(b.N)*batchSize/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkApplyBare is the uninstrumented floor: a line-for-line copy of
-// shard.feed with the histogram observations (and their time stamps)
-// removed, over the same batches — the baseline the ≤3% instrumentation
-// budget is measured against.
-func BenchmarkApplyBare(b *testing.B) {
-	const batchSize = 128
-	dt := benchTrace()
-	sh := newShard(0, 1, batchOpts(), newCounters(), newDeviceRegistry(), nil)
-	pos := 0
-	batch := &recordBatch{device: dt.Device}
-	feed := func() {
-		if pos+batchSize > len(dt.Records) {
-			pos = 0
-		}
-		batch.firstSeq = sh.seqs[dt.Device]
-		batch.recs = dt.Records[pos : pos+batchSize]
-		// shard.feed minus the two Observe calls and time.Now.
-		exp := sh.seqs[batch.device]
-		var acc *analysis.StreamAccumulator
-		dev := sh.reg.get(batch.device)
-		for i := range batch.recs {
-			seq := batch.firstSeq + int64(i)
-			if seq != exp {
-				sh.counters.duplicates.Add(1)
-				continue
-			}
-			if acc == nil {
-				if acc = sh.live[batch.device]; acc == nil {
-					acc = analysis.NewStreamAccumulator(batch.device, sh.opts)
-					sh.live[batch.device] = acc
-				}
-			}
-			acc.Feed(&batch.recs[i])
-			if sh.seg != nil {
-				sh.seg.appendRecord(batch.device, &batch.recs[i])
-			}
-			exp++
-			sh.counters.records.Add(1)
-			dev.records.Add(1)
-		}
-		sh.seqs[batch.device] = exp
-		pos += batchSize
-	}
-	feed()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feed()
-	}
-	b.ReportMetric(float64(b.N)*batchSize/b.Elapsed().Seconds(), "records/s")
-}
+// BenchmarkApplyBatchInstrumented / BenchmarkApplyBatchBare are the
+// instrumentation budget pair, both over the production functions: the
+// instrumented side is shard.feed (the latency and batch-size histograms,
+// then applyBatch), the bare side is applyBatch alone — positional dedup,
+// FeedBatch, per-device counters. The acceptance bar is 0 allocs/op and
+// instrumented throughput within 3% of bare.
+func BenchmarkApplyBatchInstrumented(b *testing.B) { benchApplyPair(b, (*shard).feed) }
+func BenchmarkApplyBatchBare(b *testing.B)         { benchApplyPair(b, (*shard).applyBatch) }
 
-// TestApplyAllocFree enforces the zero-allocation instrumentation policy:
-// in steady state the full instrumented apply path — histograms included —
-// performs no heap allocation per batch.
-func TestApplyAllocFree(t *testing.T) {
-	const batchSize = 128
-	_, feed := benchApplyShard(batchSize)
-	for i := 0; i < 50; i++ { // settle maps, bins and ledger day keys
-		feed()
-	}
-	if allocs := testing.AllocsPerRun(200, feed); allocs > 0 {
-		t.Fatalf("instrumented apply path allocates %.2f times per batch, want 0", allocs)
-	}
-}
-
-// TestBatchApplyAllocFree extends the zero-allocation policy to the
-// columnar apply path: a pooled RecordBatch through shard.feed
-// (applyBatch, positional dedup, FeedBatch, counters, histograms) must not
-// allocate in steady state. The feeder mirrors handleConn: get a batch
-// from the pool, fill it from the wire records, hand it to the shard,
-// which recycles it back into the pool.
+// TestBatchApplyAllocFree enforces the zero-allocation instrumentation
+// policy: in steady state a pooled RecordBatch through shard.feed
+// (histograms, positional dedup, FeedBatch, counters) performs no heap
+// allocation per batch.
 func TestBatchApplyAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool allocates under the race detector")
 	}
-	const batchSize = 128
-	dt := benchTrace()
-	sh := newShard(0, 1, batchOpts(), newCounters(), newDeviceRegistry(), nil)
-	pos := 0
-	batch := &recordBatch{device: dt.Device}
-	feed := func() {
-		if pos+batchSize > len(dt.Records) {
-			pos = 0 // cycle; state stays steady
-		}
-		cols := batchPool.Get().(*trace.RecordBatch)
-		cols.Reset()
-		for i := pos; i < pos+batchSize; i++ {
-			cols.Append(&dt.Records[i])
-		}
-		batch.firstSeq = sh.seqs[dt.Device]
-		batch.cols = cols
-		batch.enqueuedNS = time.Now().UnixNano()
-		sh.feed(batch)
-		pos += batchSize
-	}
-	for i := 0; i < 50; i++ { // settle pool, arena caps and ledger day keys
+	feed := benchApply(128, (*shard).feed)
+	for i := 0; i < 50; i++ { // settle pool, maps, bins and ledger day keys
 		feed()
 	}
 	if allocs := testing.AllocsPerRun(200, feed); allocs > 0 {
-		t.Fatalf("columnar apply path allocates %.2f times per batch, want 0", allocs)
+		t.Fatalf("instrumented apply path allocates %.2f times per batch, want 0", allocs)
 	}
 }
 

@@ -33,11 +33,10 @@ import (
 
 // segmentWriter is one device's open segment file.
 type segmentWriter struct {
-	f     *os.File
-	w     *trace.ColumnWriter
-	n     int64           // bytes written so far (roll trigger)
-	last  trace.Timestamp // newest appended timestamp (drop gate)
-	dirty bool            // records appended since the last sync/seal
+	f    *os.File
+	w    *trace.ColumnWriter
+	n    int64           // bytes written so far (roll trigger)
+	last trace.Timestamp // newest written timestamp (drop gate)
 }
 
 // Write counts bytes through to the file, feeding the roll decision.
@@ -106,42 +105,47 @@ func seedSegmentSeqs(dir string) (map[string]int, error) {
 
 const segmentExt = ".metr3"
 
-// appendBatch persists one accepted columnar batch.
+// appendBatch persists one accepted columnar batch, appending its
+// in-order runs with ColumnWriter.WriteBatch. Records older than the last
+// timestamp written to the open segment (a device clock that jumped
+// backwards) would violate the container's monotonicity, so they are
+// dropped from the segment — and counted — rather than poisoning the
+// writer; the live accumulator still sees them. The roll check runs once
+// per batch, after its records are written.
 func (st *segmentStore) appendBatch(device string, b *trace.RecordBatch) {
-	var rec trace.Record
-	for i := 0; i < b.Len(); i++ {
-		b.Record(i, &rec)
-		st.appendRecord(device, &rec)
-	}
-}
-
-// appendRecord persists one accepted record. Records that would violate
-// the container's timestamp monotonicity (a device clock that jumped
-// backwards) are dropped from the segment — and counted — rather than
-// poisoning the writer; the live accumulator still sees them.
-func (st *segmentStore) appendRecord(device string, r *trace.Record) {
-	if st.bad[device] {
+	n := b.Len()
+	if n == 0 || st.bad[device] {
 		return
 	}
 	sw := st.open[device]
 	if sw == nil {
 		var err error
-		if sw, err = st.openSegment(device, r.TS); err != nil {
+		if sw, err = st.openSegment(device, b.TS[0]); err != nil {
 			st.disable(device, err)
 			return
 		}
 	}
-	if sw.dirty && r.TS < sw.last {
-		st.counters.segRecordsDropped.Add(1)
-		return
+	// Write maximal in-order runs [lo, i); a regressed record ends its run
+	// and is dropped, and i == n flushes the last run.
+	lo := 0
+	for i := 0; i <= n; i++ {
+		if i < n && b.TS[i] >= sw.last {
+			sw.last = b.TS[i]
+			continue
+		}
+		if lo < i {
+			run := b.Slice(lo, i)
+			if err := sw.w.WriteBatch(&run); err != nil {
+				st.disable(device, err)
+				return
+			}
+			st.counters.segRecords.Add(int64(i - lo))
+		}
+		if i < n {
+			st.counters.segRecordsDropped.Add(1)
+		}
+		lo = i + 1
 	}
-	if err := sw.w.Write(r); err != nil {
-		st.disable(device, err)
-		return
-	}
-	sw.last = r.TS
-	sw.dirty = true
-	st.counters.segRecords.Add(1)
 	if st.maxBytes > 0 && sw.n >= st.maxBytes {
 		st.seal(device)
 	}
@@ -156,7 +160,7 @@ func (st *segmentStore) openSegment(device string, start trace.Timestamp) (*segm
 	if err != nil {
 		return nil, err
 	}
-	sw := &segmentWriter{f: f}
+	sw := &segmentWriter{f: f, last: start}
 	if sw.w, err = trace.NewColumnWriter(sw, device, start); err != nil {
 		f.Close()
 		return nil, err
@@ -186,23 +190,19 @@ func (st *segmentStore) seal(device string) {
 }
 
 // sync makes every open segment's buffered records visible to readers by
-// cutting a partial block (no footer — the file stays live). Called on
-// the shard goroutine ahead of a query.
+// cutting a partial block (no footer — the file stays live; a segment with
+// nothing buffered writes nothing). Called on the shard goroutine ahead of
+// a query.
 func (st *segmentStore) sync() error {
 	var first error
 	//repolint:ordered per-device Sync calls are independent; error capture keeps the first
 	for device, sw := range st.open {
-		if !sw.dirty {
-			continue
-		}
 		if err := sw.w.Sync(); err != nil {
 			st.disable(device, err)
 			if first == nil {
 				first = err
 			}
-			continue
 		}
-		sw.dirty = false
 	}
 	return first
 }

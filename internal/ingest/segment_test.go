@@ -156,6 +156,48 @@ func TestQueryLiveTail(t *testing.T) {
 	}
 }
 
+// TestSegmentClockRegressionAfterSync: a query's sync cuts the open
+// segment's buffered block, and a device clock that then steps back must
+// still only drop the regressed record from the segment — counted in
+// ingest_segment_records_dropped_total — not disable the device's
+// persistence (ingest_segment_errors_total): later in-order records keep
+// landing in the file and read back.
+func TestSegmentClockRegressionAfterSync(t *testing.T) {
+	dir := t.TempDir()
+	c := newCounters()
+	st := newSegmentStore(dir, 0, nil, c)
+	appendTS := func(tss ...trace.Timestamp) {
+		var b trace.RecordBatch
+		for _, ts := range tss {
+			b.Append(&trace.Record{Type: trace.RecScreen, TS: ts, ScreenOn: true})
+		}
+		st.appendBatch("skew-dev", &b)
+	}
+	appendTS(100, 200)
+	if err := st.sync(); err != nil {
+		t.Fatal(err)
+	}
+	appendTS(160, 300)
+	st.closeAll()
+	if got := c.segRecordsDropped.Load(); got != 1 {
+		t.Fatalf("segment records dropped = %d, want 1", got)
+	}
+	if got := c.segErrors.Load(); got != 0 {
+		t.Fatalf("segment errors = %d, want 0", got)
+	}
+	dt, err := trace.ReadFile(filepath.Join(dir, segmentFiles(t, dir)[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []trace.Timestamp
+	for _, r := range dt.Records {
+		got = append(got, r.TS)
+	}
+	if fmt.Sprint(got) != "[100 200 300]" {
+		t.Fatalf("segment holds timestamps %v, want [100 200 300]", got)
+	}
+}
+
 // TestQueryEndpointErrors: disabled store, bad parameters.
 func TestQueryEndpointErrors(t *testing.T) {
 	s := startServer(t, Config{AdminAddr: "127.0.0.1:0", Shards: 1})

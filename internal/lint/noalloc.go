@@ -6,9 +6,9 @@ import (
 	"go/types"
 )
 
-// Noalloc is the static complement to TestApplyAllocFree and the DESIGN.md
-// zero-allocation policy: a function annotated //repolint:noalloc (the
-// ingest apply path, the frame codec, the obs observe paths) may not
+// Noalloc is the static complement to TestBatchApplyAllocFree and the
+// DESIGN.md zero-allocation policy: a function annotated //repolint:noalloc
+// (the ingest apply path, the frame codec, the obs observe paths) may not
 // contain the construct classes that force heap allocations on every call:
 //
 //   - calls into package fmt (Sprintf and friends always allocate),

@@ -48,13 +48,8 @@ type Config struct {
 	// EmitDNS enables DNS query/response traffic before uncached
 	// connections (on by default in Default()).
 	EmitDNS bool
-	// Compress writes traces in the DEFLATE-compressed METR container;
-	// readers auto-detect either form. Legacy switch — Format supersedes
-	// it when set to anything other than FormatFlat.
-	Compress bool
-	// Format selects the on-disk container (flat, deflate or the blocked
-	// METR-2 container). The zero value defers to Compress, keeping old
-	// configs working unchanged.
+	// Format selects the on-disk container (flat, deflate, METR-2 or
+	// METR-3); the zero value is flat. Readers auto-detect every form.
 	Format trace.Format
 	// VacationProb is the chance a user takes one trip during the study
 	// with the device off (or out of coverage) for 2-7 days: a span of
@@ -85,18 +80,6 @@ func Small(users, days int) Config {
 // End returns the end timestamp of the configured span.
 func (c Config) End() trace.Timestamp {
 	return c.Start.AddSeconds(float64(c.Days) * 86400)
-}
-
-// ContainerFormat resolves the on-disk container from Format with the
-// legacy Compress switch as fallback.
-func (c Config) ContainerFormat() trace.Format {
-	if c.Format != trace.FormatFlat {
-		return c.Format
-	}
-	if c.Compress {
-		return trace.FormatDeflate
-	}
-	return trace.FormatFlat
 }
 
 func (c Config) profiles() []appmodel.Profile {
@@ -216,7 +199,7 @@ func GenerateFleet(cfg Config, dir string) (*trace.Fleet, error) {
 				errs[i] = err
 				return
 			}
-			if err := dt.SerializeFormat(f, cfg.ContainerFormat()); err != nil {
+			if err := dt.SerializeFormat(f, cfg.Format); err != nil {
 				f.Close()
 				errs[i] = fmt.Errorf("synthgen: writing %s: %w", path, err)
 				return

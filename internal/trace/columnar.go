@@ -332,7 +332,6 @@ type ColumnWriter struct {
 	w     io.Writer
 	off   int64
 	batch RecordBatch
-	blob  int // Blob bytes at the start of the current batch (always 0)
 	raw   []byte
 	comp  []byte
 	hdr   []byte
@@ -366,27 +365,60 @@ func (w *ColumnWriter) Count() uint64 { return w.count }
 // the estimated uncompressed image reaches the target size. It returns
 // the first error encountered and is a no-op afterwards.
 func (w *ColumnWriter) Write(r *Record) error {
+	if err := w.admit(r.Type, r.TS); err != nil {
+		return err
+	}
+	w.batch.Append(r)
+	return w.appended(r.TS)
+}
+
+// WriteBatch appends every record of b, copying columns straight between
+// arenas with RecordBatch.AppendFrom. Each record passes the same type
+// check, ordering gate and block-cut rule as Write, so the bytes written
+// are identical to one Write per record. On error the records before the
+// offending one are kept and the writer is poisoned, as with Write.
+func (w *ColumnWriter) WriteBatch(b *RecordBatch) error {
+	for i, typ := range b.Types {
+		if err := w.admit(typ, b.TS[i]); err != nil {
+			return err
+		}
+		w.batch.AppendFrom(b, i)
+		if err := w.appended(b.TS[i]); err != nil {
+			return err
+		}
+	}
+	return w.err
+}
+
+// admit checks one record about to be appended: a known type, and a
+// timestamp no older than the last one written.
+func (w *ColumnWriter) admit(typ RecordType, ts Timestamp) error {
 	if w.err != nil {
 		return w.err
 	}
-	if r.Type == RecInvalid || r.Type > RecScreen {
-		w.err = fmt.Errorf("trace: cannot write record type %v", r.Type)
+	if typ == RecInvalid || typ > RecScreen {
+		w.err = fmt.Errorf("trace: cannot write record type %v", typ)
 		return w.err
 	}
 	// Same monotonicity gate as BlockWriter.Write: pushdown scans treat
 	// the positional first/last block timestamps as min/max, so an
 	// out-of-order record would be silently skipped by windowed queries.
 	// w.last survives block cuts (unlike w.first), so it is the reference.
-	if w.count > 0 && r.TS < w.last {
+	if w.count > 0 && ts < w.last {
 		w.err = fmt.Errorf("trace: record %d (ts=%d) precedes ts=%d: %w",
-			w.count, r.TS, w.last, ErrOutOfOrder)
+			w.count, ts, w.last, ErrOutOfOrder)
 		return w.err
 	}
 	if w.batch.Len() == 0 {
-		w.first = r.TS
+		w.first = ts
 	}
-	w.batch.Append(r)
-	w.last = r.TS
+	return nil
+}
+
+// appended records a record just added to the current block and cuts the
+// block when its estimated uncompressed image reaches the target size.
+func (w *ColumnWriter) appended(ts Timestamp) error {
+	w.last = ts
 	w.count++
 	// ~11 bytes/record covers the three byte columns plus typical packed
 	// timestamp/app/len widths; the blob dominates for packet-heavy data.

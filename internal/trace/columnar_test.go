@@ -6,7 +6,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
+
+	"netenergy/internal/rng"
 )
 
 // writeColumnar serialises recs into a METR-3 buffer.
@@ -213,6 +216,55 @@ func TestBatchSliceAndAppend(t *testing.T) {
 		}
 		if w.Type == RecPacket && !bytes.Equal(rec.Payload, w.Payload) {
 			t.Fatalf("view payload %d mismatch", i)
+		}
+	}
+}
+
+// TestColumnWriteBatchMatchesWrite: the same records appended through
+// WriteBatch, split into batches at random points, produce a file
+// byte-identical to one Write per record — including splits right at,
+// just before and just after each 256 KiB block cut.
+func TestColumnWriteBatchMatchesWrite(t *testing.T) {
+	recs := genRecords(12000)
+	want := writeColumnar(t, "dev-b", recs[0].TS, recs)
+	_, _, blocks, ok, err := ReadBlockIndex(bytes.NewReader(want), int64(len(want)))
+	if err != nil || !ok || len(blocks) < 3 {
+		t.Fatalf("reference file: %d blocks, ok=%v err=%v", len(blocks), ok, err)
+	}
+	var all RecordBatch
+	for i := range recs {
+		all.Append(&recs[i])
+	}
+
+	src := rng.New(7)
+	for trial := 0; trial < 20; trial++ {
+		cuts := []int{0, len(recs)}
+		end := 0
+		for _, b := range blocks[:len(blocks)-1] {
+			end += b.Count
+			cuts = append(cuts, end+src.Intn(3)-1)
+		}
+		for i := 0; i < 1+src.Intn(40); i++ {
+			cuts = append(cuts, src.Intn(len(recs)))
+		}
+		sort.Ints(cuts)
+
+		var buf bytes.Buffer
+		w, err := NewColumnWriter(&buf, "dev-b", recs[0].TS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(cuts); i++ {
+			part := all.Slice(cuts[i-1], cuts[i])
+			if err := w.WriteBatch(&part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("trial %d: WriteBatch at splits %v differs from per-record Write", trial, cuts)
 		}
 	}
 }

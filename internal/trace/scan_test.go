@@ -75,32 +75,50 @@ func scanFixture(n int) []Record {
 
 // TestWriterRejectsOutOfOrder is the satellite-1 regression: the block
 // headers' firstTS/lastTS are positional, and pushdown treats them as
-// min/max — so both blocked writers must reject an out-of-order record
-// rather than write a block whose advertised range lies.
+// min/max — so both blocked writers, and the columnar writer's batch
+// append, must reject an out-of-order record rather than write a block
+// whose advertised range lies.
 func TestWriterRejectsOutOfOrder(t *testing.T) {
-	for _, format := range []Format{FormatBlocked, FormatColumnar} {
-		t.Run(format.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		format Format
+		batch  bool // append through ColumnWriter.WriteBatch
+	}{
+		{"metr2", FormatBlocked, false},
+		{"metr3", FormatColumnar, false},
+		{"metr3-batch", FormatColumnar, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			w, err := NewFormatWriter(&buf, format, "d", 1000)
+			w, err := NewFormatWriter(&buf, tc.format, "d", 1000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Write(&Record{Type: RecScreen, TS: 1000, ScreenOn: true}); err != nil {
+			write := w.Write
+			if tc.batch {
+				var b RecordBatch
+				write = func(r *Record) error {
+					b.Reset()
+					b.Append(r)
+					return w.(*ColumnWriter).WriteBatch(&b)
+				}
+			}
+			if err := write(&Record{Type: RecScreen, TS: 1000, ScreenOn: true}); err != nil {
 				t.Fatal(err)
 			}
 			// Equal timestamps are fine (ties are common in real traces).
-			if err := w.Write(&Record{Type: RecScreen, TS: 1000, ScreenOn: false}); err != nil {
+			if err := write(&Record{Type: RecScreen, TS: 1000, ScreenOn: false}); err != nil {
 				t.Fatalf("equal ts rejected: %v", err)
 			}
-			if err := w.Write(&Record{Type: RecScreen, TS: 2000, ScreenOn: true}); err != nil {
+			if err := write(&Record{Type: RecScreen, TS: 2000, ScreenOn: true}); err != nil {
 				t.Fatal(err)
 			}
-			err = w.Write(&Record{Type: RecScreen, TS: 1999, ScreenOn: false})
+			err = write(&Record{Type: RecScreen, TS: 1999, ScreenOn: false})
 			if !errors.Is(err, ErrOutOfOrder) {
 				t.Fatalf("out-of-order write: got %v, want ErrOutOfOrder", err)
 			}
 			// The writer is poisoned: later in-order writes keep failing.
-			if err := w.Write(&Record{Type: RecScreen, TS: 3000, ScreenOn: true}); !errors.Is(err, ErrOutOfOrder) {
+			if err := write(&Record{Type: RecScreen, TS: 3000, ScreenOn: true}); !errors.Is(err, ErrOutOfOrder) {
 				t.Fatalf("write after rejection: got %v, want ErrOutOfOrder", err)
 			}
 		})

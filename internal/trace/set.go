@@ -158,21 +158,6 @@ func (dt *DeviceTrace) Serialize(w io.Writer) error {
 	return dt.SerializeFormat(w, FormatFlat)
 }
 
-// SerializeCompressed writes the trace in the DEFLATE-compressed container.
-func (dt *DeviceTrace) SerializeCompressed(w io.Writer) error {
-	return dt.SerializeFormat(w, FormatDeflate)
-}
-
-// SerializeBlocked writes the trace in the METR-2 blocked container.
-func (dt *DeviceTrace) SerializeBlocked(w io.Writer) error {
-	return dt.SerializeFormat(w, FormatBlocked)
-}
-
-// SerializeColumnar writes the trace in the METR-3 columnar container.
-func (dt *DeviceTrace) SerializeColumnar(w io.Writer) error {
-	return dt.SerializeFormat(w, FormatColumnar)
-}
-
 // SerializeFormat writes the trace in the given container format.
 func (dt *DeviceTrace) SerializeFormat(w io.Writer, format Format) error {
 	tw, err := NewFormatWriter(w, format, dt.Device, dt.Start)

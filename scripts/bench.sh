@@ -7,11 +7,11 @@
 # durable_fin_overhead_pct (price of -durable-fin per session) and
 # handoff_retry_total (retries per shipped handoff under a flaky survivor).
 #
-# The apply pair (BenchmarkApplyInstrumented vs BenchmarkApplyBare) is the
-# instrumentation budget check from DESIGN.md: the instrumented shard apply
-# path must stay within 3% of the bare baseline and allocate nothing. Each
-# benchmark runs COUNT times and the fastest run is recorded, which damps
-# scheduler noise on shared machines.
+# The apply pair (BenchmarkApplyBatchInstrumented vs BenchmarkApplyBatchBare)
+# is the instrumentation budget check from DESIGN.md: the instrumented shard
+# apply path must stay within 3% of the bare baseline and allocate nothing.
+# Each benchmark runs COUNT times and the fastest run is recorded, which
+# damps scheduler noise on shared machines.
 #
 # After writing the new JSON the script compares it against the most
 # recent previous BENCH_*.json and fails on a >15% regression in the apply
@@ -68,17 +68,17 @@ APPLY_ATTEMPTS=${APPLY_ATTEMPTS:-3}
 attempt=1
 while :; do
   echo "bench: apply budget pair (benchtime=$APPLY_BENCHTIME count=$APPLY_COUNT attempt=$attempt/$APPLY_ATTEMPTS)" >&2
-  go test -run '^$' -bench 'BenchmarkApply(Instrumented|Bare)$' -benchmem \
+  go test -run '^$' -bench 'BenchmarkApplyBatch(Instrumented|Bare)$' -benchmem \
     -benchtime="$APPLY_BENCHTIME" -count="$APPLY_COUNT" ./internal/ingest/ | tee -a "$RAW" >&2
   est=$(awk '
-    /^BenchmarkApply(Instrumented|Bare)/ {
+    /^BenchmarkApplyBatch(Instrumented|Bare)/ {
       name = $1; sub(/-[0-9]+$/, "", name)
       ns = ""
       for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") ns = $i
       if (ns != "" && (!(name in best) || ns + 0 < best[name] + 0)) best[name] = ns
     }
     END {
-      b = best["BenchmarkApplyBare"]; ins = best["BenchmarkApplyInstrumented"]
+      b = best["BenchmarkApplyBatchBare"]; ins = best["BenchmarkApplyBatchInstrumented"]
       if (b + 0 > 0 && ins != "") printf "%.2f", 100 * (ins - b) / b
     }' "$RAW")
   if [ -z "$est" ] || awk -v p="$est" 'BEGIN { exit (p + 0 <= 3.0 ? 0 : 1) }'; then
@@ -188,8 +188,8 @@ BEGIN { n = 0 }
     out[key] = line
     if (!(key in seen)) { order[n++] = key; seen[key] = 1 }
   }
-  if (name == "BenchmarkApplyInstrumented") instr = best[key]
-  if (name == "BenchmarkApplyBare") bare = best[key]
+  if (name == "BenchmarkApplyBatchInstrumented") instr = best[key]
+  if (name == "BenchmarkApplyBatchBare") bare = best[key]
   if (name == "BenchmarkFinDurable") fin_dur = best[key]
   if (name == "BenchmarkFinVolatile") fin_vol = best[key]
 }
@@ -259,7 +259,7 @@ if [ "$COMPARE" = 1 ] && [ -n "$PREV_NAME" ]; then
     ns = metric($0, "ns_per_op"); mbps = metric($0, "decode_mbps")
     merge = metric($0, "aggregate_merge_ms")
     qp50 = metric($0, "query_p50_ms")
-    if (name ~ /^BenchmarkApply(Instrumented|Bare)$/ && ns != "" && old_ns[name] != "" && old_ns[name] + 0 > 0) {
+    if (name ~ /^BenchmarkApplyBatch(Instrumented|Bare)$/ && ns != "" && old_ns[name] != "" && old_ns[name] + 0 > 0) {
       pct = 100 * (ns - old_ns[name]) / old_ns[name]
       printf "bench: %s ns_per_op %s -> %s (%+.1f%%)\n", name, old_ns[name], ns, pct > "/dev/stderr"
       if (pct > 15) { printf "bench: FAIL %s regressed %.1f%% (>15%%)\n", name, pct > "/dev/stderr"; bad = 1 }
