@@ -82,10 +82,12 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecoder -fuzztime=$(FUZZTIME) ./internal/ingest/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzQueryParse -fuzztime=$(FUZZTIME) ./internal/tsq/
 
-# The ci gate fuzzes the most network-exposed decoder briefly; run `make
+# The ci gate briefly fuzzes the most network-exposed decoder and the
+# indexed trace-file decoders (whole-file read and range scan); run `make
 # fuzz` for the full set.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFrameDecoder -fuzztime=10s ./internal/ingest/
+	$(GO) test -run=NONE -fuzz=FuzzReadFileParallel -fuzztime=10s ./internal/trace/
 
 # Full benchmark suite with the regression gate: records BENCH_<date>.json
 # and fails on a >15% regression in the apply pair or decode throughput

@@ -29,6 +29,10 @@ func startIngest(t testing.TB, cfg ingest.Config) *ingest.Server {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// Stop the server before the test's TempDirs are removed, so its
+	// checkpoint loop cannot write into them afterwards. Kill is a no-op
+	// on a server the test already shut down or killed.
+	t.Cleanup(s.Kill)
 	return s
 }
 

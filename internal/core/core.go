@@ -91,8 +91,9 @@ func Open(dir string) (*Study, error) { return OpenParallel(dir, 1) }
 // float association in the network totals, which are summed in order too).
 // workers <= 1 degrades to the sequential one-trace-in-memory behaviour;
 // higher counts trade peak memory for wall time. When the fleet has fewer
-// files than workers, the surplus is spent inside each file: METR-2
-// containers decode their blocks in parallel (v1 containers just stream).
+// files than workers, the surplus is spent inside each file: METR-2 and
+// METR-3 containers decode their blocks in parallel (v1 containers just
+// stream).
 func OpenParallel(dir string, workers int) (*Study, error) {
 	t0 := time.Now() //repolint:allow determinism load wall-time telemetry for operators; LoadSeconds never reaches a report or golden artifact
 	fleet, err := trace.OpenFleet(dir)

@@ -29,7 +29,7 @@ import (
 //	            valid*/check*/clamp* helper
 //
 // Cross-function flows are out of scope by design: the repo's decoders
-// validate header fields at parse time (readBlockHeader, ReadBlockIndex),
+// validate header fields at parse time (parseBlockHeader, ReadBlockIndex),
 // so a struct returned by a parse helper is treated as already vetted.
 // //repolint:allow wiresize suppresses one line with a written reason.
 var WireSize = &Analyzer{

@@ -251,27 +251,6 @@ func appendBlockIndex(idx []byte, index []BlockInfo, magic []byte) []byte {
 	return append(idx, magic...)
 }
 
-// blockDecoder is the streaming (non-seeking) METR-2 decoder behind
-// Reader.Next: it inflates one block at a time into a reused buffer and
-// serves records from it, allocation-free per record at steady state.
-type blockDecoder struct {
-	br      *bufio.Reader
-	fr      io.ReadCloser
-	compRd  *bytes.Reader
-	comp    []byte
-	raw     []byte
-	pos     int
-	left    int // records remaining in the current block
-	last    Timestamp
-	blkLast Timestamp
-	rec     Record
-	done    bool
-}
-
-func newBlockDecoder(br *bufio.Reader) *blockDecoder {
-	return &blockDecoder{br: br, compRd: bytes.NewReader(nil)}
-}
-
 // blockHeader is a parsed per-block header.
 type blockHeader struct {
 	ulen, clen int
@@ -281,114 +260,187 @@ type blockHeader struct {
 	count      int
 }
 
-// readBlockHeader parses the post-tag block header fields.
-func readBlockHeader(br *bufio.Reader) (blockHeader, error) {
+// maxBlockHeaderLen bounds the encoded post-tag block header: five
+// varints and the CRC.
+const maxBlockHeaderLen = 5*binary.MaxVarintLen64 + 4
+
+// varintErr classifies a failed varint parse: n == 0 means the bytes ran
+// out mid-varint, n < 0 an overlong encoding no writer produces.
+func varintErr(n int) error {
+	if n == 0 {
+		return ErrTruncated
+	}
+	return ErrCorrupt
+}
+
+// parseBlockHeader parses a block header from b (starting after the tag
+// byte), returning the header and its encoded length. It is the one
+// header parser: the indexed readers parse the block's file span, the
+// streaming readers a peek of the buffered stream.
+func parseBlockHeader(b []byte) (blockHeader, int, error) {
 	var h blockHeader
-	ulen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
+	p := b
+	ulen, n1 := binary.Uvarint(p)
+	if n1 <= 0 {
+		return h, 0, varintErr(n1)
 	}
-	clen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
+	p = p[n1:]
+	clen, n2 := binary.Uvarint(p)
+	if n2 <= 0 {
+		return h, 0, varintErr(n2)
 	}
+	p = p[n2:]
 	if ulen > maxBlockLen || clen > maxBlockLen {
-		return h, ErrCorrupt
+		return h, 0, ErrCorrupt
 	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(br, crcb[:]); err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
+	if len(p) < 4 {
+		return h, 0, ErrTruncated
 	}
-	first, err := binary.ReadVarint(br)
-	if err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
+	crc := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	first, n3 := binary.Varint(p)
+	if n3 <= 0 {
+		return h, 0, varintErr(n3)
 	}
-	last, err := binary.ReadVarint(br)
-	if err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
+	p = p[n3:]
+	last, n4 := binary.Varint(p)
+	if n4 <= 0 {
+		return h, 0, varintErr(n4)
 	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
+	p = p[n4:]
+	count, n5 := binary.Uvarint(p)
+	if n5 <= 0 {
+		return h, 0, varintErr(n5)
 	}
+	p = p[n5:]
 	// Every record frame is at least 2 bytes, and every uncompressed byte
 	// must belong to a declared record (trailing undeclared bytes are
 	// rejected after decoding, so a zero-count block cannot smuggle any).
 	if count > ulen/2+1 || (count == 0 && ulen != 0) {
-		return h, ErrCorrupt
+		return h, 0, ErrCorrupt
 	}
 	// The writers enforce non-decreasing timestamps, so a header whose
 	// first exceeds its last was never produced by them — reject rather
 	// than let an inverted range corrupt pushdown decisions downstream.
 	if count > 0 && first > last {
-		return h, ErrCorrupt
+		return h, 0, ErrCorrupt
 	}
-	h.ulen, h.clen, h.crc = int(ulen), int(clen), binary.LittleEndian.Uint32(crcb[:])
+	h.ulen, h.clen, h.crc = int(ulen), int(clen), crc
 	h.first, h.lastTS, h.count = Timestamp(first), Timestamp(last), int(count)
-	return h, nil
+	return h, len(b) - len(p), nil
 }
 
-// inflateBlock verifies the CRC of comp and inflates it into raw (reusing
-// fr via flate.Resetter), returning exactly ulen bytes.
-func (d *blockDecoder) inflateBlock(h blockHeader) error {
-	if crc32.Checksum(d.comp[:h.clen], castagnoli) != h.crc {
-		return ErrCorrupt
+// blockStream is the streaming (non-seeking) block step shared by the
+// METR-2 and METR-3 decoders: it reads blocks front to back, stops at
+// the index, and hands out each block's header with its CRC-verified
+// compressed payload.
+type blockStream struct {
+	br   *bufio.Reader
+	comp []byte
+	done bool
+}
+
+// next returns the next block's header and verified compressed payload
+// (valid until the following call), or io.EOF at the index or at a
+// clean end of file.
+func (s *blockStream) next() (blockHeader, []byte, error) {
+	var h blockHeader
+	if s.done {
+		return h, nil, io.EOF
 	}
-	d.compRd.Reset(d.comp[:h.clen])
-	if d.fr == nil {
-		d.fr = flate.NewReader(d.compRd)
-	} else if err := d.fr.(flate.Resetter).Reset(d.compRd, nil); err != nil {
+	tag, err := s.br.ReadByte()
+	if err == io.EOF {
+		// Missing index: tolerated on the streaming path — the blocks
+		// themselves were all CRC-verified.
+		return h, nil, io.EOF
+	}
+	if err != nil {
+		return h, nil, mapReadErr(err, ErrTruncated, "reading block tag")
+	}
+	if tag == indexTag {
+		// The streaming reader does not need the index; drain so the
+		// underlying reader is left at EOF like the v1 path.
+		s.done = true
+		if _, err := io.Copy(io.Discard, s.br); err != nil && ioFailure(err) {
+			return h, nil, fmt.Errorf("trace: draining index: %w", err)
+		}
+		return h, nil, io.EOF
+	}
+	if tag != blockTag {
+		return h, nil, ErrCorrupt
+	}
+	// Peek the longest possible header and parse it in place. A header
+	// cut short is truncation — unless the read behind the peek failed,
+	// which is surfaced as the I/O error it is.
+	p, perr := s.br.Peek(maxBlockHeaderLen)
+	h, n, err := parseBlockHeader(p)
+	if err == ErrTruncated {
+		return h, nil, mapReadErr(perr, ErrTruncated, "reading block header")
+	}
+	if err != nil {
+		return h, nil, err
+	}
+	s.br.Discard(n) //nolint:errcheck // n bytes are already buffered
+	s.comp = sliceCap(s.comp, h.clen)
+	if _, err := io.ReadFull(s.br, s.comp); err != nil {
+		return h, nil, mapReadErr(err, ErrTruncated, "reading block payload")
+	}
+	if crc32.Checksum(s.comp, castagnoli) != h.crc {
+		return h, nil, ErrCorrupt
+	}
+	return h, s.comp, nil
+}
+
+// inflater decompresses METR-2 block payloads, reusing one DEFLATE
+// reader across blocks via flate.Resetter.
+type inflater struct {
+	compRd bytes.Reader
+	fr     io.ReadCloser
+}
+
+// inflate decompresses comp into dst, which must be exactly the block's
+// declared uncompressed length.
+func (z *inflater) inflate(dst, comp []byte) error {
+	z.compRd.Reset(comp)
+	if z.fr == nil {
+		z.fr = flate.NewReader(&z.compRd)
+	} else if err := z.fr.(flate.Resetter).Reset(&z.compRd, nil); err != nil {
 		return err
 	}
-	if cap(d.raw) < h.ulen {
-		d.raw = make([]byte, h.ulen)
-	}
-	d.raw = d.raw[:h.ulen]
-	if _, err := io.ReadFull(d.fr, d.raw); err != nil {
+	if _, err := io.ReadFull(z.fr, dst); err != nil {
 		return mapReadErr(err, ErrCorrupt, "inflating block")
 	}
 	return nil
+}
+
+// blockDecoder is the streaming METR-2 decoder behind Reader.Next: it
+// inflates one block at a time into a reused buffer and serves records
+// from it, allocation-free per record at steady state.
+type blockDecoder struct {
+	s       blockStream
+	z       inflater
+	raw     []byte
+	pos     int
+	left    int // records remaining in the current block
+	last    Timestamp
+	blkLast Timestamp
+	rec     Record
+}
+
+func newBlockDecoder(br *bufio.Reader) *blockDecoder {
+	return &blockDecoder{s: blockStream{br: br}}
 }
 
 // next returns the next record in file order, loading the next block when
 // the current one is exhausted.
 func (d *blockDecoder) next() (*Record, error) {
 	for d.left == 0 {
-		if d.done {
-			return nil, io.EOF
-		}
-		tag, err := d.br.ReadByte()
-		if err == io.EOF {
-			// Missing index: tolerated on the streaming path — the blocks
-			// themselves were all CRC-verified.
-			return nil, io.EOF
-		}
-		if err != nil {
-			return nil, mapReadErr(err, ErrTruncated, "reading block tag")
-		}
-		if tag == indexTag {
-			// The streaming reader does not need the index; drain so the
-			// underlying reader is left at EOF like the v1 path.
-			d.done = true
-			if _, err := io.Copy(io.Discard, d.br); err != nil && ioFailure(err) {
-				return nil, fmt.Errorf("trace: draining index: %w", err)
-			}
-			return nil, io.EOF
-		}
-		if tag != blockTag {
-			return nil, ErrCorrupt
-		}
-		h, err := readBlockHeader(d.br)
+		h, comp, err := d.s.next()
 		if err != nil {
 			return nil, err
 		}
-		if cap(d.comp) < h.clen {
-			d.comp = make([]byte, h.clen)
-		}
-		if _, err := io.ReadFull(d.br, d.comp[:h.clen]); err != nil {
-			return nil, mapReadErr(err, ErrTruncated, "reading block payload")
-		}
-		if err := d.inflateBlock(h); err != nil {
+		d.raw = sliceCap(d.raw, h.ulen)
+		if err := d.z.inflate(d.raw, comp); err != nil {
 			return nil, err
 		}
 		d.pos = 0
@@ -442,50 +494,71 @@ func decodeFrame(b []byte, last Timestamp, rec *Record) (*Record, Timestamp, int
 // or carries no (intact) footer — the caller should fall back to
 // streaming.
 func ReadBlockIndex(ra io.ReaderAt, size int64) (device string, start Timestamp, blocks []BlockInfo, ok bool, err error) {
-	device, start, blocks, _, ok, err = readBlockIndexFmt(ra, size)
-	return device, start, blocks, ok, err
+	ix, ok, err := readBlockIndexFmt(ra, size)
+	return ix.device, ix.start, ix.blocks, ok, err
 }
 
-// readBlockIndexFmt is ReadBlockIndex plus the sniffed container
-// format, which selects the per-block decoder on the parallel path.
-func readBlockIndexFmt(ra io.ReaderAt, size int64) (device string, start Timestamp, blocks []BlockInfo, format Format, ok bool, err error) {
+// blockIndex is a parsed footer index plus what its reader learned on
+// the way: the file header, the sniffed container format (which selects
+// the per-block decoder) and the index's own offset.
+type blockIndex struct {
+	device string
+	start  Timestamp
+	format Format
+	blocks []BlockInfo
+	end    int64 // file offset of the index tag: where the last block ends
+}
+
+// spanEnd returns the file offset where block i's span ends: each block
+// ends where the next begins, the last at the index.
+func (ix *blockIndex) spanEnd(i int) int64 {
+	if i+1 < len(ix.blocks) {
+		return ix.blocks[i+1].Offset
+	}
+	return ix.end
+}
+
+// readBlockIndexFmt is ReadBlockIndex returning the whole blockIndex.
+// The footer is read here once per file; callers take block spans from
+// the result instead of re-reading it.
+func readBlockIndexFmt(ra io.ReaderAt, size int64) (ix blockIndex, ok bool, err error) {
 	var m [6]byte
 	if size < int64(len(magicBlocked))+footerLen {
-		return "", 0, nil, 0, false, nil
+		return ix, false, nil
 	}
 	if _, err := ra.ReadAt(m[:], 0); err != nil {
-		return "", 0, nil, 0, false, fmt.Errorf("trace: reading magic: %w", err)
+		return ix, false, fmt.Errorf("trace: reading magic: %w", err)
 	}
 	var wantFooter []byte
 	switch {
 	case bytes.Equal(m[:], magicBlocked):
-		format, wantFooter = FormatBlocked, footerMagic
+		ix.format, wantFooter = FormatBlocked, footerMagic
 	case bytes.Equal(m[:], magicColumnar):
-		format, wantFooter = FormatColumnar, footerMagicColumnar
+		ix.format, wantFooter = FormatColumnar, footerMagicColumnar
 	default:
-		return "", 0, nil, 0, false, nil
+		return ix, false, nil
 	}
 	var foot [footerLen]byte
 	if _, err := ra.ReadAt(foot[:], size-footerLen); err != nil {
-		return "", 0, nil, 0, false, fmt.Errorf("trace: reading footer: %w", err)
+		return ix, false, fmt.Errorf("trace: reading footer: %w", err)
 	}
 	if !bytes.Equal(foot[12:], wantFooter) {
-		return "", 0, nil, 0, false, nil // truncated or still being written
+		return ix, false, nil // truncated or still being written
 	}
 	idxLen := int64(binary.LittleEndian.Uint64(foot[:8]))
 	wantCRC := binary.LittleEndian.Uint32(foot[8:12])
 	if idxLen <= 0 || idxLen > size-footerLen || idxLen > maxBlockLen {
-		return "", 0, nil, 0, false, ErrCorrupt
+		return ix, false, ErrCorrupt
 	}
 	idx := make([]byte, idxLen)
 	if _, err := ra.ReadAt(idx, size-footerLen-idxLen); err != nil {
-		return "", 0, nil, 0, false, fmt.Errorf("trace: reading index: %w", err)
+		return ix, false, fmt.Errorf("trace: reading index: %w", err)
 	}
 	if crc32.Checksum(idx, castagnoli) != wantCRC {
-		return "", 0, nil, 0, false, fmt.Errorf("trace: index crc mismatch: %w", ErrCorrupt)
+		return ix, false, fmt.Errorf("trace: index crc mismatch: %w", ErrCorrupt)
 	}
 	if idx[0] != indexTag {
-		return "", 0, nil, 0, false, ErrCorrupt
+		return ix, false, ErrCorrupt
 	}
 	p := idx[1:]
 	readU := func() (uint64, bool) {
@@ -509,7 +582,7 @@ func readBlockIndexFmt(ra io.ReaderAt, size int64) (device string, start Timesta
 	// can never exceed the index's own size.
 	count, okc := readU()
 	if !okc || count > uint64(idxLen)/6 {
-		return "", 0, nil, 0, false, ErrCorrupt
+		return ix, false, ErrCorrupt
 	}
 	// dataEnd is the first byte past the last block (the index tag). Every
 	// field below comes from the (CRC-intact but possibly crafted) index, so
@@ -518,7 +591,7 @@ func readBlockIndexFmt(ra io.ReaderAt, size int64) (device string, start Timesta
 	// block headers enforce — otherwise a tiny file could declare arbitrary
 	// offsets/counts and drive unbounded allocations downstream.
 	dataEnd := size - footerLen - idxLen
-	blocks = make([]BlockInfo, 0, count)
+	blocks := make([]BlockInfo, 0, count)
 	prev := int64(0)
 	prevLast := Timestamp(math.MinInt64)
 	for i := uint64(0); i < count; i++ {
@@ -530,19 +603,19 @@ func readBlockIndexFmt(ra io.ReaderAt, size int64) (device string, start Timesta
 		rc, ok6 := readU()
 		if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || !ok6 ||
 			ul > maxBlockLen || cl > maxBlockLen || rc > ul/2+1 {
-			return "", 0, nil, 0, false, ErrCorrupt
+			return ix, false, ErrCorrupt
 		}
 		// Writers enforce non-decreasing timestamps, so first > last (or a
 		// block starting before its predecessor ended) is a crafted index;
 		// pushdown pruning relies on these ranges being honest min/max.
 		if rc > 0 {
 			if ft > lt || Timestamp(ft) < prevLast {
-				return "", 0, nil, 0, false, ErrCorrupt
+				return ix, false, ErrCorrupt
 			}
 			prevLast = Timestamp(lt)
 		}
 		if od == 0 || od >= uint64(dataEnd) || int64(od) > dataEnd-1-prev {
-			return "", 0, nil, 0, false, ErrCorrupt
+			return ix, false, ErrCorrupt
 		}
 		prev += int64(od)
 		blocks = append(blocks, BlockInfo{Offset: prev, UncompLen: int(ul), CompLen: int(cl),
@@ -550,129 +623,84 @@ func readBlockIndexFmt(ra io.ReaderAt, size int64) (device string, start Timesta
 	}
 
 	// Header: the first block (or the index, for an empty file) bounds it.
-	hdrEnd := size - footerLen - idxLen
+	hdrEnd := dataEnd
 	if len(blocks) > 0 {
 		hdrEnd = blocks[0].Offset
 	}
 	hdr := make([]byte, hdrEnd)
 	if _, err := ra.ReadAt(hdr, 0); err != nil {
-		return "", 0, nil, 0, false, fmt.Errorf("trace: reading header: %w", err)
+		return ix, false, fmt.Errorf("trace: reading header: %w", err)
 	}
 	r, err := newReader(bytes.NewReader(append(hdr, idx...)), 0)
 	if err != nil {
-		return "", 0, nil, 0, false, err
+		return ix, false, err
 	}
-	return r.Device(), r.Start(), blocks, format, true, nil
+	ix.device, ix.start, ix.blocks, ix.end = r.Device(), r.Start(), blocks, dataEnd
+	return ix, true, nil
 }
 
-// blockScratch is the pooled per-block decode state shared by the parallel
-// workers: the raw file-span buffer plus a reusable inflater. Pooling keeps
-// the steady-state decode loop free of per-block reader/buffer churn.
+// blockScratch is the pooled decode state of the indexed readers: the
+// block's file-span buffer, a reusable inflater (METR-2) and the column
+// scratch (METR-3). A reader holds one per worker for a whole file, so
+// the steady-state decode loop is free of per-block reader/buffer churn.
 type blockScratch struct {
-	buf    []byte
-	compRd *bytes.Reader
-	fr     io.ReadCloser
+	buf []byte
+	z   inflater
+	u64 []uint64
+	// batch receives the METR-3 columns ReadFileParallel materialises
+	// rows from. Its Blob aliases the caller's arena, so it is only ever
+	// decoded into, never appended to.
+	batch RecordBatch
 }
 
-var blockScratchPool = sync.Pool{
-	New: func() any { return &blockScratch{compRd: bytes.NewReader(nil)} },
-}
+var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
-// parseBlockHeader parses a block header from b (starting after the tag
-// byte), returning the header and its encoded length.
-func parseBlockHeader(b []byte) (blockHeader, int, error) {
+// fetch reads indexed block b, whose span ends at next, and verifies it
+// against the index: span bound, tag, header-vs-index agreement, length
+// and CRC32C. It returns the parsed header and the verified compressed
+// payload, which aliases sc.buf until the next fetch. Every indexed
+// decode, METR-2 or METR-3, row or column, goes through it.
+func (sc *blockScratch) fetch(ra io.ReaderAt, b BlockInfo, next int64) (blockHeader, []byte, error) {
 	var h blockHeader
-	p := b
-	ulen, n1 := binary.Uvarint(p)
-	if n1 <= 0 {
-		return h, 0, ErrTruncated
-	}
-	p = p[n1:]
-	clen, n2 := binary.Uvarint(p)
-	if n2 <= 0 {
-		return h, 0, ErrTruncated
-	}
-	p = p[n2:]
-	if ulen > maxBlockLen || clen > maxBlockLen {
-		return h, 0, ErrCorrupt
-	}
-	if len(p) < 4 {
-		return h, 0, ErrTruncated
-	}
-	crc := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	first, n3 := binary.Varint(p)
-	if n3 <= 0 {
-		return h, 0, ErrTruncated
-	}
-	p = p[n3:]
-	last, n4 := binary.Varint(p)
-	if n4 <= 0 {
-		return h, 0, ErrTruncated
-	}
-	p = p[n4:]
-	count, n5 := binary.Uvarint(p)
-	if n5 <= 0 {
-		return h, 0, ErrTruncated
-	}
-	p = p[n5:]
-	if count > ulen/2+1 || (count == 0 && ulen != 0) {
-		return h, 0, ErrCorrupt
-	}
-	// Same ordering invariant readBlockHeader enforces: an inverted
-	// first/last range cannot come from the monotonic writers.
-	if count > 0 && first > last {
-		return h, 0, ErrCorrupt
-	}
-	h.ulen, h.clen, h.crc = int(ulen), int(clen), crc
-	h.first, h.lastTS, h.count = Timestamp(first), Timestamp(last), int(count)
-	return h, len(b) - len(p), nil
-}
-
-// decodeBlockAt reads, verifies and fully decodes one indexed block from
-// ra into dst (which must have len == b.Count). Record payloads alias a
-// freshly inflated buffer owned by the results, so they stay valid
-// indefinitely (no per-record copy).
-func decodeBlockAt(ra io.ReaderAt, b BlockInfo, next int64, dst []Record) error {
 	span := next - b.Offset
 	if span <= 0 || span > maxBlockLen+64 {
-		return ErrCorrupt
+		return h, nil, ErrCorrupt
 	}
-	sc := blockScratchPool.Get().(*blockScratch)
-	defer blockScratchPool.Put(sc)
-	if cap(sc.buf) < int(span) {
-		sc.buf = make([]byte, span)
+	sc.buf = sliceCap(sc.buf, int(span))
+	if _, err := ra.ReadAt(sc.buf, b.Offset); err != nil {
+		return h, nil, fmt.Errorf("trace: reading block at %d: %w", b.Offset, err)
 	}
-	buf := sc.buf[:span]
-	if _, err := ra.ReadAt(buf, b.Offset); err != nil {
-		return fmt.Errorf("trace: reading block at %d: %w", b.Offset, err)
+	if sc.buf[0] != blockTag {
+		return h, nil, ErrCorrupt
 	}
-	if buf[0] != blockTag {
-		return ErrCorrupt
+	h, n, err := parseBlockHeader(sc.buf[1:])
+	if err != nil {
+		return h, nil, err
 	}
-	h, hdrLen, err := parseBlockHeader(buf[1:])
+	if h.clen != b.CompLen || h.ulen != b.UncompLen || h.count != b.Count {
+		return h, nil, fmt.Errorf("trace: block header disagrees with index at offset %d: %w", b.Offset, ErrCorrupt)
+	}
+	if len(sc.buf) < 1+n+h.clen {
+		return h, nil, ErrTruncated
+	}
+	comp := sc.buf[1+n : 1+n+h.clen]
+	if crc32.Checksum(comp, castagnoli) != h.crc {
+		return h, nil, ErrCorrupt
+	}
+	return h, comp, nil
+}
+
+// decodeBlockAt fully decodes one indexed METR-2 block into dst (len ==
+// b.Count). Record payloads alias a freshly inflated buffer owned by the
+// results, so they stay valid indefinitely (no per-record copy).
+func (sc *blockScratch) decodeBlockAt(ra io.ReaderAt, b BlockInfo, next int64, dst []Record) error {
+	h, comp, err := sc.fetch(ra, b, next)
 	if err != nil {
 		return err
 	}
-	if h.clen != b.CompLen || h.ulen != b.UncompLen || h.count != b.Count {
-		return fmt.Errorf("trace: block header disagrees with index at offset %d: %w", b.Offset, ErrCorrupt)
-	}
-	if len(buf) < 1+hdrLen+h.clen {
-		return ErrTruncated
-	}
-	comp := buf[1+hdrLen : 1+hdrLen+h.clen]
-	if crc32.Checksum(comp, castagnoli) != h.crc {
-		return ErrCorrupt
-	}
-	sc.compRd.Reset(comp)
-	if sc.fr == nil {
-		sc.fr = flate.NewReader(sc.compRd)
-	} else if err := sc.fr.(flate.Resetter).Reset(sc.compRd, nil); err != nil {
-		return err
-	}
 	raw := make([]byte, h.ulen) // retained: record payloads alias it
-	if _, err := io.ReadFull(sc.fr, raw); err != nil {
-		return mapReadErr(err, ErrCorrupt, "inflating block")
+	if err := sc.z.inflate(raw, comp); err != nil {
+		return err
 	}
 	if len(dst) != h.count {
 		return ErrCorrupt
@@ -710,15 +738,11 @@ type decodeArena struct {
 var decodeArenaPool = sync.Pool{New: func() any { return new(decodeArena) }}
 
 // ReadFileParallel reads a trace file with up to workers blocks decoded
-// concurrently. METR-2 and METR-3 files with an intact footer index are
-// decoded block-parallel (record order, and therefore the resulting
-// DeviceTrace, is identical to sequential reading); v1 containers — and
-// blocked files whose index is missing — fall back to the streaming
-// path.
+// concurrently. METR-2 and METR-3 files with an intact footer index take
+// one indexed decode at every worker count, so the result — records,
+// order and error alike — does not depend on workers; v1 containers and
+// blocked files whose footer is missing fall back to the streaming path.
 func ReadFileParallel(path string, workers int) (*DeviceTrace, error) {
-	if workers <= 1 {
-		return ReadFile(path)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -728,22 +752,14 @@ func ReadFileParallel(path string, workers int) (*DeviceTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	device, start, blocks, format, ok, err := readBlockIndexFmt(f, st.Size())
+	ix, ok, err := readBlockIndexFmt(f, st.Size())
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return ReadAll(f)
 	}
-
-	// Block spans: each block ends where the next begins; the last ends at
-	// the index.
-	idxOff := st.Size() // recomputed below from the footer
-	var foot [footerLen]byte
-	if _, err := f.ReadAt(foot[:], st.Size()-footerLen); err != nil {
-		return nil, err
-	}
-	idxOff = st.Size() - footerLen - int64(binary.LittleEndian.Uint64(foot[:8]))
+	blocks := ix.blocks
 
 	// The index gives every block's record count up front, so all blocks
 	// decode straight into disjoint windows of one shared arena — workers
@@ -765,7 +781,7 @@ func ReadFileParallel(path string, workers int) (*DeviceTrace, error) {
 	var arena []byte
 	var uoffs []int
 	var pooled *decodeArena
-	if format == FormatColumnar {
+	if ix.format == FormatColumnar {
 		uoffs = make([]int, len(blocks)+1)
 		for i, b := range blocks {
 			uoffs[i+1] = uoffs[i] + b.UncompLen
@@ -777,33 +793,37 @@ func ReadFileParallel(path string, workers int) (*DeviceTrace, error) {
 	} else {
 		recs = make([]Record, offs[len(blocks)])
 	}
-	decodeAt := func(i int, next int64) error {
-		if format == FormatColumnar {
-			return decodeColumnBlockAt(f, blocks[i], next, recs[offs[i]:offs[i+1]], arena[uoffs[i]:uoffs[i+1]])
+	decodeAt := func(sc *blockScratch, i int) error {
+		b, next, dst := blocks[i], ix.spanEnd(i), recs[offs[i]:offs[i+1]]
+		if ix.format != FormatColumnar {
+			return sc.decodeBlockAt(f, b, next, dst)
 		}
-		return decodeBlockAt(f, blocks[i], next, recs[offs[i]:offs[i+1]])
+		window := arena[uoffs[i]:uoffs[i+1]:uoffs[i+1]]
+		if _, err := sc.decodeColumnBatchAt(f, b, next, &sc.batch, window); err != nil {
+			return err
+		}
+		for j := range dst {
+			sc.batch.Record(j, &dst[j])
+		}
+		return nil
 	}
 
 	errs := make([]error, len(blocks))
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
+	workers = max(1, min(workers, len(blocks)))
 	var nextBlock atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := blockScratchPool.Get().(*blockScratch)
+			defer blockScratchPool.Put(sc)
 			for {
 				i := int(nextBlock.Add(1)) - 1
 				if i >= len(blocks) {
 					return
 				}
-				next := idxOff
-				if i+1 < len(blocks) {
-					next = blocks[i+1].Offset
-				}
-				errs[i] = decodeAt(i, next)
+				errs[i] = decodeAt(sc, i)
 			}
 		}()
 	}
@@ -817,7 +837,7 @@ func ReadFileParallel(path string, workers int) (*DeviceTrace, error) {
 		}
 	}
 
-	dt := &DeviceTrace{Device: device, Start: start, Apps: NewAppTable(), Records: recs, pooled: pooled}
+	dt := &DeviceTrace{Device: ix.device, Start: ix.start, Apps: NewAppTable(), Records: recs, pooled: pooled}
 	for i := range recs {
 		if recs[i].Type == RecAppName {
 			dt.Apps.Register(recs[i].App, recs[i].AppName)

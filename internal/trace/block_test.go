@@ -146,7 +146,7 @@ func TestBlockedParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		par, err := ReadFileParallel(path, workers)
 		if err != nil {
 			t.Fatal(err)
@@ -164,6 +164,31 @@ func TestBlockedParallelMatchesSequential(t *testing.T) {
 		}
 		if got, want := par.Apps.Names(), seq.Apps.Names(); len(got) != len(want) {
 			t.Fatalf("workers=%d: app tables differ", workers)
+		}
+	}
+	requireCorruptIndexRejected(t, data)
+}
+
+// requireCorruptIndexRejected flips one byte of data's footer index and
+// requires ReadFileParallel to reject the file as ErrCorrupt at one
+// worker and at several: the outcome of a read must not depend on the
+// worker count.
+func requireCorruptIndexRejected(t *testing.T, data []byte) {
+	t.Helper()
+	mut := append([]byte(nil), data...)
+	idxLen := int(binary.LittleEndian.Uint64(mut[len(mut)-footerLen:]))
+	mut[len(mut)-footerLen-idxLen+1] ^= 0xff // the index's entry count
+	path := filepath.Join(t.TempDir(), "bad-index.metr")
+	if err := os.WriteFile(path, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		if dt, err := ReadFileParallel(path, workers); !errors.Is(err, ErrCorrupt) {
+			n := -1
+			if dt != nil {
+				n = len(dt.Records)
+			}
+			t.Fatalf("workers=%d: corrupt index read %d records, err=%v, want ErrCorrupt", workers, n, err)
 		}
 	}
 }
@@ -209,6 +234,38 @@ func TestBlockedTruncatedFooterStreamsAnyway(t *testing.T) {
 	}
 	if len(dt.Records) != len(recs) {
 		t.Fatalf("read %d records, want %d", len(dt.Records), len(recs))
+	}
+}
+
+// TestStreamBlockHeaderErrors pins the error classes of the streaming
+// block-header read, for both blocked containers: a header cut short by
+// EOF is ErrTruncated, an overlong varint is ErrCorrupt, and a read that
+// fails mid-header surfaces the wrapped I/O error, not a format error.
+func TestStreamBlockHeaderErrors(t *testing.T) {
+	errDisk := errors.New("simulated disk failure")
+	for _, magic := range [][]byte{magicBlocked, magicColumnar} {
+		head := appendFileHeader(append([]byte(nil), magic...), "d", 0)
+		head = append(head, blockTag)
+		firstErr := func(r io.Reader) error {
+			tr, err := NewReader(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = tr.Next()
+			return err
+		}
+		short := append(append([]byte(nil), head...), 0x10, 0x08) // ulen, clen, then EOF
+		if err := firstErr(bytes.NewReader(short)); err != ErrTruncated {
+			t.Errorf("%q short header: err=%v, want ErrTruncated", magic, err)
+		}
+		overlong := append(append([]byte(nil), head...), bytes.Repeat([]byte{0x80}, 11)...)
+		if err := firstErr(bytes.NewReader(overlong)); err != ErrCorrupt {
+			t.Errorf("%q overlong varint: err=%v, want ErrCorrupt", magic, err)
+		}
+		err := firstErr(&failAfterReader{data: short, err: errDisk})
+		if !errors.Is(err, errDisk) || errors.Is(err, ErrTruncated) || errors.Is(err, ErrCorrupt) {
+			t.Errorf("%q failed read: err=%v, want wrapped I/O error", magic, err)
+		}
 	}
 }
 

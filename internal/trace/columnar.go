@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
-	"sync"
 
 	"netenergy/internal/lz"
 )
@@ -502,62 +501,28 @@ func (w *ColumnWriter) Sync() error {
 // BatchReader.Next: it decompresses one block at a time into a reused
 // RecordBatch and serves records (or the whole batch) from it.
 type columnDecoder struct {
-	br    *bufio.Reader
-	comp  []byte
+	s     blockStream
 	raw   []byte
 	u64   []uint64
 	batch RecordBatch
 	idx   int
 	rec   Record
-	done  bool
 }
 
 func newColumnDecoder(br *bufio.Reader) *columnDecoder {
-	return &columnDecoder{br: br}
+	return &columnDecoder{s: blockStream{br: br}}
 }
 
 // loadBlock reads and decodes the next block into the batch, returning
 // io.EOF at a clean end of file.
 func (d *columnDecoder) loadBlock() error {
 	for {
-		if d.done {
-			return io.EOF
-		}
-		tag, err := d.br.ReadByte()
-		if err == io.EOF {
-			return io.EOF
-		}
-		if err != nil {
-			return mapReadErr(err, ErrTruncated, "reading block tag")
-		}
-		if tag == indexTag {
-			d.done = true
-			if _, err := io.Copy(io.Discard, d.br); err != nil && ioFailure(err) {
-				return fmt.Errorf("trace: draining index: %w", err)
-			}
-			return io.EOF
-		}
-		if tag != blockTag {
-			return ErrCorrupt
-		}
-		h, err := readBlockHeader(d.br)
+		h, comp, err := d.s.next()
 		if err != nil {
 			return err
 		}
-		if cap(d.comp) < h.clen {
-			d.comp = make([]byte, h.clen)
-		}
-		if _, err := io.ReadFull(d.br, d.comp[:h.clen]); err != nil {
-			return mapReadErr(err, ErrTruncated, "reading block payload")
-		}
-		if crc32.Checksum(d.comp[:h.clen], castagnoli) != h.crc {
-			return ErrCorrupt
-		}
-		if cap(d.raw) < h.ulen {
-			d.raw = make([]byte, h.ulen)
-		}
-		d.raw = d.raw[:h.ulen]
-		if err := lz.Decompress(d.raw, d.comp[:h.clen]); err != nil {
+		d.raw = sliceCap(d.raw, h.ulen)
+		if err := lz.Decompress(d.raw, comp); err != nil {
 			return ErrCorrupt
 		}
 		if d.u64, err = decodeColumns(d.raw, h, &d.batch, d.u64); err != nil {
@@ -593,65 +558,20 @@ func (d *columnDecoder) nextBatch() (*RecordBatch, error) {
 	return &d.batch, nil
 }
 
-// columnScratch is pooled per-block decode state for the parallel
-// reader: the batch whose columns are reused across blocks plus the
-// unpack scratch. The blob arena is not pooled — it aliases the
-// freshly-allocated raw buffer retained by the decoded records.
-type columnScratch struct {
-	batch RecordBatch
-	u64   []uint64
-}
-
-var columnScratchPool = sync.Pool{New: func() any { return new(columnScratch) }}
-
-// decodeColumnBlockAt reads, verifies and fully decodes one indexed
-// METR-3 block from ra into dst (len == b.Count). raw is the block's
-// disjoint window of the caller's decode arena, len == b.UncompLen;
-// record payloads alias it, so the arena must outlive the results.
-func decodeColumnBlockAt(ra io.ReaderAt, b BlockInfo, next int64, dst []Record, raw []byte) error {
-	span := next - b.Offset
-	if span <= 0 || span > maxBlockLen+64 {
-		return ErrCorrupt
-	}
-	sc := blockScratchPool.Get().(*blockScratch)
-	defer blockScratchPool.Put(sc)
-	if cap(sc.buf) < int(span) {
-		sc.buf = make([]byte, span)
-	}
-	buf := sc.buf[:span]
-	if _, err := ra.ReadAt(buf, b.Offset); err != nil {
-		return fmt.Errorf("trace: reading block at %d: %w", b.Offset, err)
-	}
-	if buf[0] != blockTag {
-		return ErrCorrupt
-	}
-	h, hdrLen, err := parseBlockHeader(buf[1:])
+// decodeColumnBatchAt decodes one indexed METR-3 block straight into
+// dst's columns, with no row assembly, so the scan's app filter can run
+// before any Record is built and the parallel reader can materialise
+// rows into its own arena. raw is the decompression buffer (grown when
+// short); the buffer is returned and dst's Blob aliases it.
+func (sc *blockScratch) decodeColumnBatchAt(ra io.ReaderAt, b BlockInfo, next int64, dst *RecordBatch, raw []byte) ([]byte, error) {
+	h, comp, err := sc.fetch(ra, b, next)
 	if err != nil {
-		return err
+		return raw, err
 	}
-	if h.clen != b.CompLen || h.ulen != b.UncompLen || h.count != b.Count {
-		return fmt.Errorf("trace: block header disagrees with index at offset %d: %w", b.Offset, ErrCorrupt)
-	}
-	if len(buf) < 1+hdrLen+h.clen {
-		return ErrTruncated
-	}
-	comp := buf[1+hdrLen : 1+hdrLen+h.clen]
-	if crc32.Checksum(comp, castagnoli) != h.crc {
-		return ErrCorrupt
-	}
-	if len(raw) != h.ulen || len(dst) != h.count {
-		return ErrCorrupt
-	}
+	raw = sliceCap(raw, h.ulen)
 	if err := lz.Decompress(raw, comp); err != nil {
-		return ErrCorrupt
+		return raw, ErrCorrupt
 	}
-	cs := columnScratchPool.Get().(*columnScratch)
-	defer columnScratchPool.Put(cs)
-	if cs.u64, err = decodeColumns(raw, h, &cs.batch, cs.u64); err != nil {
-		return err
-	}
-	for i := range dst {
-		cs.batch.Record(i, &dst[i])
-	}
-	return nil
+	sc.u64, err = decodeColumns(raw, h, dst, sc.u64)
+	return raw, err
 }

@@ -120,6 +120,13 @@ func TestColumnarRoundTripParallel(t *testing.T) {
 	if dt.Apps.Len() == 0 {
 		t.Fatal("app table empty after parallel read")
 	}
+	// One worker runs the same indexed decode as four.
+	one, err := ReadFileParallel(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRecordsEqual(t, dt.Records, one.Records)
+	requireCorruptIndexRejected(t, data)
 }
 
 func TestColumnarBatchReader(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,10 +65,13 @@ func FuzzReader(f *testing.F) {
 }
 
 // FuzzReadFileParallel feeds arbitrary bytes to the seeking (footer-index)
-// path used by core.OpenParallel — ReadBlockIndex plus the parallel block
-// decode. Every input must yield records or a clean error, never a panic
-// or an allocation sized by attacker-controlled index fields (the index is
-// CRC-protected against corruption, not against being crafted whole).
+// paths: the whole-file decode used by core.OpenParallel (ReadBlockIndex
+// plus the parallel block decode) and the range-pushdown scan behind
+// tsq (ScanFile, over the full range and over a narrow window with an
+// app filter). Every input must yield records or a clean error, never a
+// panic or an allocation sized by attacker-controlled index fields (the
+// index is CRC-protected against corruption, not against being crafted
+// whole).
 func FuzzReadFileParallel(f *testing.F) {
 	// Seed: a valid multi-block METR-2 file so the fuzzer starts from an
 	// intact footer index and mutates its fields.
@@ -95,8 +99,8 @@ func FuzzReadFileParallel(f *testing.F) {
 	f.Add([]byte{})
 
 	// Seeds: a valid METR-3 file plus the same index attacks against its
-	// footer, so the fuzzer reaches the columnar parallel decode path
-	// (decodeColumnBlockAt) and the columnar index validation too.
+	// footer, so the fuzzer reaches the columnar indexed decode
+	// (decodeColumnBatchAt) and the columnar index validation too.
 	f.Add(metr3Sample())
 	f.Add(craftColumnIndexFile(1, []rawIndexEntry{{od: 1 << 40, ul: 16, cl: 16, rc: 1}}))
 	f.Add(craftColumnIndexFile(1, []rawIndexEntry{{od: 5, ul: 16, cl: 16, rc: 1 << 50}}))
@@ -106,14 +110,25 @@ func FuzzReadFileParallel(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		dt, err := ReadFileParallel(path, 4)
-		if err != nil {
-			return
-		}
-		for i := range dt.Records {
-			if dt.Records[i].Type == RecPacket && len(dt.Records[i].Payload) > maxRecordLen {
-				t.Fatalf("oversized payload accepted: %d", len(dt.Records[i].Payload))
+		if dt, err := ReadFileParallel(path, 4); err == nil {
+			for i := range dt.Records {
+				if dt.Records[i].Type == RecPacket && len(dt.Records[i].Payload) > maxRecordLen {
+					t.Fatalf("oversized payload accepted: %d", len(dt.Records[i].Payload))
+				}
 			}
+		}
+		for _, opt := range []ScanOptions{
+			{Range: TimeRange{From: math.MinInt64, To: math.MaxInt64}},
+			{Range: TimeRange{From: 1500, To: 2500}, Apps: []uint32{0}},
+		} {
+			ScanFile(path, opt, nil, func(b *RecordBatch) error { //nolint:errcheck // any clean error is fine
+				for j := 0; j < b.Len(); j++ {
+					if len(b.Bytes(j)) > maxRecordLen {
+						t.Fatalf("oversized scanned payload accepted: %d", len(b.Bytes(j)))
+					}
+				}
+				return nil
+			})
 		}
 	})
 }

@@ -2,14 +2,9 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
-
-	"netenergy/internal/lz"
 )
 
 // Range-pushdown scan over a single trace file: the footer index's
@@ -125,14 +120,14 @@ func ScanFile(path string, opt ScanOptions, stats *ScanStats, fn func(*RecordBat
 	if stats != nil {
 		stats.Files++
 	}
-	device, _, blocks, format, ok, err := readBlockIndexFmt(f, st.Size())
+	ix, ok, err := readBlockIndexFmt(f, st.Size())
 	if err != nil {
-		return device, err
+		return "", err
 	}
 	if !ok {
 		return scanStream(f, opt, stats, fn)
 	}
-	return device, scanIndexed(f, st.Size(), blocks, format, opt, stats, fn)
+	return ix.device, scanIndexed(f, &ix, opt, stats, fn)
 }
 
 // scanStream is the no-index fallback: decode front to back, trim and
@@ -165,20 +160,14 @@ func scanStream(f *os.File, opt ScanOptions, stats *ScanStats, fn func(*RecordBa
 
 // scanIndexed prunes blocks via the footer index and decodes only the
 // survivors.
-func scanIndexed(f *os.File, size int64, blocks []BlockInfo, format Format, opt ScanOptions, stats *ScanStats, fn func(*RecordBatch) error) error {
-	// Each block ends where the next begins; the last ends at the index,
-	// whose offset the footer names.
-	var foot [footerLen]byte
-	if _, err := f.ReadAt(foot[:], size-footerLen); err != nil {
-		return err
-	}
-	idxOff := size - footerLen - int64(binary.LittleEndian.Uint64(foot[:8]))
-
+func scanIndexed(f *os.File, ix *blockIndex, opt ScanOptions, stats *ScanStats, fn func(*RecordBatch) error) error {
 	filter := newAppFilter(opt.Apps)
+	sc := blockScratchPool.Get().(*blockScratch)
+	defer blockScratchPool.Put(sc)
 	var scratch, out RecordBatch
 	var raw []byte
 	var recs []Record
-	for i, b := range blocks {
+	for i, b := range ix.blocks {
 		if stats != nil {
 			stats.BlocksTotal++
 		}
@@ -191,20 +180,17 @@ func scanIndexed(f *os.File, size int64, blocks []BlockInfo, format Format, opt 
 		if stats != nil {
 			stats.BlocksScanned++
 		}
-		next := idxOff
-		if i+1 < len(blocks) {
-			next = blocks[i+1].Offset
-		}
+		next := ix.spanEnd(i)
 		scratch.Reset()
-		if format == FormatColumnar {
+		if ix.format == FormatColumnar {
 			var err error
-			raw, err = decodeColumnBatchAt(f, b, next, &scratch, raw)
+			raw, err = sc.decodeColumnBatchAt(f, b, next, &scratch, raw)
 			if err != nil {
 				return err
 			}
 		} else {
 			recs = sliceCap(recs, b.Count)
-			if err := decodeBlockAt(f, b, next, recs); err != nil {
+			if err := sc.decodeBlockAt(f, b, next, recs); err != nil {
 				return err
 			}
 			for j := range recs {
@@ -216,54 +202,6 @@ func scanIndexed(f *os.File, size int64, blocks []BlockInfo, format Format, opt 
 		}
 	}
 	return nil
-}
-
-// decodeColumnBatchAt reads, verifies and decodes one indexed METR-3
-// block straight into dst's columns — the row-assembly-free sibling of
-// decodeColumnBlockAt, so the app filter can run before any Record is
-// built. raw is a reusable decompression buffer; the (possibly grown)
-// buffer is returned and dst's Blob aliases it until the next call.
-func decodeColumnBatchAt(ra io.ReaderAt, b BlockInfo, next int64, dst *RecordBatch, raw []byte) ([]byte, error) {
-	span := next - b.Offset
-	if span <= 0 || span > maxBlockLen+64 {
-		return raw, ErrCorrupt
-	}
-	sc := blockScratchPool.Get().(*blockScratch)
-	defer blockScratchPool.Put(sc)
-	if cap(sc.buf) < int(span) {
-		sc.buf = make([]byte, span)
-	}
-	buf := sc.buf[:span]
-	if _, err := ra.ReadAt(buf, b.Offset); err != nil {
-		return raw, fmt.Errorf("trace: reading block at %d: %w", b.Offset, err)
-	}
-	if buf[0] != blockTag {
-		return raw, ErrCorrupt
-	}
-	h, hdrLen, err := parseBlockHeader(buf[1:])
-	if err != nil {
-		return raw, err
-	}
-	if h.clen != b.CompLen || h.ulen != b.UncompLen || h.count != b.Count {
-		return raw, fmt.Errorf("trace: block header disagrees with index at offset %d: %w", b.Offset, ErrCorrupt)
-	}
-	if len(buf) < 1+hdrLen+h.clen {
-		return raw, ErrTruncated
-	}
-	comp := buf[1+hdrLen : 1+hdrLen+h.clen]
-	if crc32.Checksum(comp, castagnoli) != h.crc {
-		return raw, ErrCorrupt
-	}
-	raw = sliceCap(raw, h.ulen)
-	if err := lz.Decompress(raw, comp); err != nil {
-		return raw, ErrCorrupt
-	}
-	cs := columnScratchPool.Get().(*columnScratch)
-	defer columnScratchPool.Put(cs)
-	if cs.u64, err = decodeColumns(raw, h, dst, cs.u64); err != nil {
-		return raw, err
-	}
-	return raw, nil
 }
 
 // emitTrimmed trims b to the window by binary search on the sorted
